@@ -94,13 +94,17 @@ public:
         if (!first_) return;
         const population::PopulationResult& res = *first_;
         checks.expect(res.dice == cfg_.dice, "the run folded every die");
+        // Each quantile has its own P² estimator, whose markers stay
+        // between min and max; the estimators are not ordered against
+        // each other (p90 > p99 on ~2 % of seeds at 32 dice), so their
+        // order is not checked.
         for (const auto& m : res.metrics) {
-            bool ordered = m.min <= m.mean && m.mean <= m.max;
-            for (std::size_t j = 1; j < m.quantiles.size(); ++j) {
-                ordered = ordered && m.quantiles[j - 1].value <= m.quantiles[j].value;
+            bool bracketed = m.min <= m.mean && m.mean <= m.max;
+            for (const auto& q : m.quantiles) {
+                bracketed = bracketed && m.min <= q.value && q.value <= m.max;
             }
-            checks.expect(ordered && m.count == cfg_.dice,
-                          m.name + ": p50 <= p90 <= p99 and min <= mean <= max");
+            checks.expect(bracketed && m.count == cfg_.dice,
+                          m.name + ": min <= mean <= max and min <= every quantile <= max");
         }
         if (!spice_) check_against_exact(checks);
     }
